@@ -2,7 +2,7 @@
 
 Exercises the `repro.runtime` parallel paths end to end: the Figure 6
 sweep fanned over a process pool, a 1e6-trial structure-function Monte
-Carlo batch, and the warm-cache path. Prints the jobs→wall-time scaling
+Carlo batch. Prints the jobs→wall-time scaling
 ladder, re-checks the bit-identity guarantee on every ladder rung, and
 -- on hosts with at least 4 cores -- asserts the ≥2x wall-clock speedup
 at 4 workers (on smaller hosts the pool can only add overhead, so the
@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis.sweep import reliability_sweep
 from repro.core import DRAConfig
 from repro.runtime import (
-    ResultCache,
     Stopwatch,
     parallel_reliability_sweep,
     parallel_structure_function_reliability,
@@ -86,26 +85,3 @@ def test_fig6_sweep_scaling(benchmark):
         "points", rows,
     )
     _assert_speedup_if_multicore(speedup)
-
-
-def test_warm_cache_skips_solves(tmp_path, benchmark):
-    cache = ResultCache(tmp_path)
-    with Stopwatch() as cold_sw:
-        cold = parallel_reliability_sweep(times=TIMES, cache=cache)
-    assert cache.hits == 0 and cache.misses > 0
-    units = cache.misses
-
-    def warm_run():
-        return parallel_reliability_sweep(times=TIMES, cache=cache)
-
-    with Stopwatch() as warm_sw:
-        warm = warm_run()
-    assert warm == cold
-    assert cache.hits == units, "warm run must resolve every unit from cache"
-    benchmark(warm_run)
-    print(
-        f"\n=== result cache (Figure 6 sweep, {units} chain solves) ===\n"
-        f"cold {cold_sw.elapsed:.3f}s -> warm {warm_sw.elapsed:.3f}s "
-        f"({cold_sw.elapsed / max(warm_sw.elapsed, 1e-9):.1f}x)"
-    )
-    assert warm_sw.elapsed < cold_sw.elapsed, "warm cache run should be faster"

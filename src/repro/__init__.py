@@ -34,25 +34,19 @@ Quickstart
 True
 """
 
-from repro.core import (
-    DRAConfig,
-    FailureRates,
-    RepairPolicy,
-    bdr_availability,
-    bdr_reliability,
-    dra_availability,
-    dra_reliability,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DRAConfig",
-    "FailureRates",
-    "RepairPolicy",
-    "bdr_availability",
-    "bdr_reliability",
-    "dra_availability",
-    "dra_reliability",
-    "__version__",
-]
+_EXPORTS = {
+    "DRAConfig": "repro.core.parameters",
+    "FailureRates": "repro.core.parameters",
+    "RepairPolicy": "repro.core.parameters",
+    "bdr_availability": "repro.core.availability",
+    "bdr_reliability": "repro.core.reliability",
+    "dra_availability": "repro.core.availability",
+    "dra_reliability": "repro.core.reliability",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

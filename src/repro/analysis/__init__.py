@@ -1,28 +1,19 @@
 """Sweeps, paper-style tables and export helpers."""
 
-from repro.analysis.sweep import (
-    availability_sweep,
-    performance_sweep,
-    reliability_sweep,
-    SweepRecord,
-)
-from repro.analysis.tables import (
-    format_availability_table,
-    format_performance_table,
-    format_reliability_table,
-    format_series,
-)
-from repro.analysis.export import chain_to_networkx, records_to_csv
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SweepRecord",
-    "reliability_sweep",
-    "availability_sweep",
-    "performance_sweep",
-    "format_reliability_table",
-    "format_availability_table",
-    "format_performance_table",
-    "format_series",
-    "chain_to_networkx",
-    "records_to_csv",
-]
+_EXPORTS = {
+    "SweepRecord": "repro.analysis.sweep",
+    "reliability_sweep": "repro.analysis.sweep",
+    "availability_sweep": "repro.analysis.sweep",
+    "performance_sweep": "repro.analysis.sweep",
+    "format_reliability_table": "repro.analysis.tables",
+    "format_availability_table": "repro.analysis.tables",
+    "format_performance_table": "repro.analysis.tables",
+    "format_series": "repro.analysis.tables",
+    "chain_to_networkx": "repro.analysis.export",
+    "records_to_csv": "repro.analysis.export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

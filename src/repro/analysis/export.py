@@ -6,10 +6,12 @@ import csv
 import io
 from collections.abc import Sequence
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.sweep import SweepRecord
-from repro.markov.ctmc import CTMC
+
+if TYPE_CHECKING:
+    from repro.markov.ctmc import CTMC
 
 __all__ = ["records_to_csv", "chain_to_networkx", "chain_to_dot"]
 

@@ -8,10 +8,9 @@ the reproduction still holds end to end:
     python -m repro.analysis.report > EXPERIMENTS_regenerated.md
 
 The figure sweeps run through the :mod:`repro.runtime` layer, so
-``generate_report(jobs=..., cache=...)`` (or ``python -m repro report
---jobs N --cache``) fans the chain solves out over a process pool and/or
-skips chains already solved in the content-addressed cache; the closing
-"Runtime" section reports wall time and throughput per stage either way.
+``generate_report(jobs=...)`` (or ``python -m repro report --jobs N``)
+fans the chain solves out over a process pool; the closing "Runtime"
+section reports wall time and throughput per stage either way.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ _FIG6_SHOWN = (
 )
 
 
-def generate_report(*, jobs: int = 1, cache: "ResultCache | None" = None) -> str:
+def generate_report(*, jobs: int = 1) -> str:
     """Regenerate every experiment and render the Markdown report.
 
     Parameters
@@ -56,10 +55,6 @@ def generate_report(*, jobs: int = 1, cache: "ResultCache | None" = None) -> str
     jobs:
         Worker processes for the figure sweeps (0 = all cores, 1 = serial;
         the record values are identical either way).
-    cache:
-        Optional :class:`repro.runtime.ResultCache`; already-solved chains
-        are loaded instead of re-solved, and the hit/miss tally appears in
-        the Runtime section.
     """
     from repro.obs import MetricsRegistry, collecting
     from repro.runtime import RuntimeMetrics
@@ -67,10 +62,10 @@ def generate_report(*, jobs: int = 1, cache: "ResultCache | None" = None) -> str
     metrics = RuntimeMetrics()
     registry = MetricsRegistry()
     with collecting(registry):
-        return _render(metrics, registry, jobs, cache)
+        return _render(metrics, registry, jobs)
 
 
-def _render(metrics, registry, jobs: int, cache) -> str:
+def _render(metrics, registry, jobs: int) -> str:
     from repro.runtime import (
         Stopwatch,
         parallel_availability_sweep,
@@ -89,7 +84,7 @@ def _render(metrics, registry, jobs: int, cache) -> str:
     w("## Figure 6 — LC reliability R(t)\n\n```\n")
     recs = parallel_reliability_sweep(
         times=np.array(_LANDMARKS), configs=FIG6_CONFIGS,
-        jobs=jobs, cache=cache, metrics=metrics,
+        jobs=jobs, metrics=metrics,
     )
     shown = [r for r in recs if r.label in _FIG6_SHOWN]
     w(format_reliability_table(shown, time_points=_LANDMARKS))
@@ -99,7 +94,7 @@ def _render(metrics, registry, jobs: int, cache) -> str:
     w("## Figure 7 — steady-state availability\n\n```\n")
     arecs = parallel_availability_sweep(
         configs=[(3, 2), (5, 2), (9, 2), (9, 4), (9, 6), (9, 8)],
-        jobs=jobs, cache=cache, metrics=metrics,
+        jobs=jobs, metrics=metrics,
     )
     w(format_availability_table(arecs))
     w("\n```\n\n")
@@ -107,7 +102,7 @@ def _render(metrics, registry, jobs: int, cache) -> str:
     # Figure 8.
     w("## Figure 8 — bandwidth available to faulty LCs (N = 6)\n\n```\n")
     w(format_performance_table(
-        parallel_performance_sweep(jobs=jobs, cache=cache, metrics=metrics)
+        parallel_performance_sweep(jobs=jobs, metrics=metrics)
     ))
     w("\n```\n\n")
 
@@ -140,11 +135,7 @@ def _render(metrics, registry, jobs: int, cache) -> str:
     # Runtime instrumentation (wall time / throughput per stage above).
     w("## Runtime — wall time per stage\n\n```\n")
     w(metrics.format_table())
-    w("\n")
-    if cache is not None:
-        w(f"\ncache: {cache.hits} hit(s), {cache.misses} miss(es) "
-          f"at {cache.root}\n")
-    w("```\n\n")
+    w("\n```\n\n")
 
     # Observability: solver/model counters collected while the sections
     # above ran (merged across workers when jobs > 1; identical content

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.availability import bdr_availability, dra_availability
 from repro.core.parameters import DRAConfig, FailureRates, RepairPolicy
 from repro.core.performance import DEFAULT_LC_CAPACITY_GBPS, PerformanceModel
-from repro.core.reliability import bdr_reliability, dra_reliability
 
 __all__ = [
     "SweepRecord",
@@ -76,6 +74,8 @@ def reliability_sweep(
     method: str = "expm_multiply",
 ) -> list[SweepRecord]:
     """R(t) records for every configuration and time point (Figure 6)."""
+    from repro.core.reliability import bdr_reliability, dra_reliability
+
     times = FIG6_TIME_GRID if times is None else np.asarray(times, dtype=np.float64)
     configs = FIG6_CONFIGS if configs is None else tuple(configs)
     records: list[SweepRecord] = []
@@ -109,6 +109,8 @@ def availability_sweep(
 
     ``x`` carries the repair rate ``mu``; ``extra`` carries the nines.
     """
+    from repro.core.availability import bdr_availability, dra_availability
+
     configs = FIG7_CONFIGS if configs is None else tuple(configs)
     repairs = repairs or (RepairPolicy.three_hours(), RepairPolicy.half_day())
     records: list[SweepRecord] = []

@@ -2,17 +2,18 @@
 
 Usage::
 
-    python -m repro fig6 [--points t1,t2,...] [--csv out.csv] [--jobs N] [--cache]
-    python -m repro fig7 [--configs 3:2,9:4] [--csv out.csv] [--jobs N] [--cache]
+    python -m repro fig6 [--points t1,t2,...] [--csv out.csv] [--jobs N]
+    python -m repro fig7 [--configs 3:2,9:4] [--csv out.csv] [--jobs N]
     python -m repro fig8 [--n 6] [--loads 0.15,0.7] [--b-bus 20]
     python -m repro mttf [--configs 3:2,9:4]
     python -m repro cost [--n 8] [--protocols 2]
     python -m repro importance [--n 9] [--m 4]
     python -m repro validate [--suite tiny|smoke|full] [--seed 0] [--jobs N]
+                             [--json-out FILE]
     python -m repro bench [--suite scaling|throughput] [--target mc|fig6|validate]
                           [--jobs-list 1,2,4] [--baseline FILE] [--update-baseline]
     python -m repro chaos [--seeds 32] [--seed 0] [--jobs N] [--json-out FILE]
-    python -m repro report [--jobs N] [--cache]
+    python -m repro report [--jobs N]
     python -m repro trace FILE [--kind PREFIX] [--limit N] [--json] [--strict]
     python -m repro incidents FILE [FILE ...] [--json-out PATH] [--jobs N]
     python -m repro lint [PATHS ...] [--select CODES] [--ignore CODES]
@@ -20,17 +21,16 @@ Usage::
 
 ``validate`` runs the differential validation suite -- every analytic
 quantity paired with an independent Monte Carlo / simulation estimator,
-judged by confidence-interval containment -- writes a schema-versioned
-``BENCH_validate.json`` and exits nonzero on disagreement, so it works
-as a CI gate (``docs/validation.md``).  ``chaos`` runs seeded
+judged by confidence-interval containment -- exits nonzero on
+disagreement, so it works as a CI gate; ``--json-out FILE`` also writes
+the schema-versioned report (``docs/validation.md``).  ``chaos`` runs seeded
 fault-injection campaigns against the
 executable DRA model with the EIB fault-detection layer enabled and
 exits nonzero on any invariant violation (``docs/chaos.md``).  ``--jobs`` fans the work out over a process pool (0 = all
 cores); Monte Carlo results are bit-identical for a given ``--seed``
-regardless of ``--jobs``.  ``--cache`` enables the content-addressed
-result cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-dra``); ``bench
---suite scaling`` (default) measures parallel scaling and writes a
-schema-versioned ``BENCH_runtime.json``, while ``bench --suite
+regardless of ``--jobs``.  ``bench --suite scaling`` (default)
+measures parallel scaling and writes a schema-versioned
+``BENCH_runtime.json``, while ``bench --suite
 throughput`` measures the hot-path kernels (events/sec, trials/sec,
 solver wall times), writes ``BENCH_throughput.json`` and -- when
 ``--baseline`` points at a committed baseline -- exits nonzero on a
@@ -59,24 +59,6 @@ from collections import Counter
 
 import numpy as np
 
-from repro.analysis import (
-    format_availability_table,
-    format_performance_table,
-    format_reliability_table,
-    performance_sweep,
-    records_to_csv,
-)
-from repro.analysis.sweep import FIG6_CONFIGS
-from repro.core import (
-    DRAConfig,
-    RepairPolicy,
-    bdr_mttf,
-    compare_designs,
-    dra_availability,
-    dra_mttf,
-    unavailability_elasticities,
-)
-
 __all__ = ["main", "build_parser"]
 
 
@@ -97,16 +79,9 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _result_cache(args: argparse.Namespace):
-    """The content-addressed cache when ``--cache`` was given, else None."""
-    if not getattr(args, "cache", False):
-        return None
-    from repro.runtime import ResultCache
-
-    return ResultCache()
-
-
 def _cmd_fig6(args: argparse.Namespace) -> int:
+    from repro.analysis import format_reliability_table, records_to_csv
+    from repro.analysis.sweep import FIG6_CONFIGS
     from repro.runtime import parallel_reliability_sweep
 
     points = (
@@ -120,7 +95,6 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
         configs=configs,
         variant=args.variant,
         jobs=args.jobs,
-        cache=_result_cache(args),
     )
     if args.csv:
         records_to_csv(recs, args.csv)
@@ -130,6 +104,8 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    from repro.analysis import format_availability_table, records_to_csv
+    from repro.analysis.sweep import FIG6_CONFIGS
     from repro.runtime import parallel_availability_sweep
 
     configs = _parse_configs(args.configs) if args.configs else FIG6_CONFIGS
@@ -137,7 +113,6 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
         configs=configs,
         variant=args.variant,
         jobs=args.jobs,
-        cache=_result_cache(args),
     )
     if args.csv:
         records_to_csv(recs, args.csv)
@@ -158,7 +133,7 @@ def _traced_fig8_crosscheck(n: int) -> None:
     carries control-packet, collision, coverage-case and solver events
     next to the analytic table.
     """
-    from repro.core.parameters import FailureRates
+    from repro.core import DRAConfig, FailureRates, RepairPolicy, dra_availability
     from repro.core.reliability import build_dra_reliability_chain
     from repro.markov import uniformized_distribution
     from repro.router import ComponentKind, Router, RouterConfig, RouterMode
@@ -199,6 +174,8 @@ def _traced_fig8_crosscheck(n: int) -> None:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    from repro.analysis import format_performance_table, performance_sweep, records_to_csv
+
     loads = _parse_floats(args.loads) if args.loads else [0.15, 0.30, 0.50, 0.70]
     recs = performance_sweep(loads=loads, n=args.n, b_bus=args.b_bus)
     if args.csv:
@@ -213,6 +190,8 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_mttf(args: argparse.Namespace) -> int:
+    from repro.core import DRAConfig, bdr_mttf, dra_mttf
+
     configs = _parse_configs(args.configs) if args.configs else [(3, 2), (9, 4)]
     base = bdr_mttf()
     print(f"{'config':>14} {'MTTF (h)':>12} {'vs BDR':>8}")
@@ -224,12 +203,16 @@ def _cmd_mttf(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
+    from repro.core import compare_designs
+
     for d in compare_designs(args.n, args.protocols):
         print(f"{d.label:<24} cost {d.cost:6.2f}   A = {d.availability:.12f}")
     return 0
 
 
 def _cmd_importance(args: argparse.Namespace) -> int:
+    from repro.core import DRAConfig, unavailability_elasticities
+
     for r in unavailability_elasticities(DRAConfig(n=args.n, m=args.m)):
         print(f"{r.field:>8}  elasticity {r.elasticity:+6.3f}")
     return 0
@@ -370,6 +353,7 @@ def _bench_throughput(args: argparse.Namespace) -> int:
 
 def _bench_scaling(args: argparse.Namespace) -> int:
     """Measure parallel scaling of one bulk workload over a jobs ladder."""
+    from repro.core import DRAConfig, RepairPolicy
     from repro.runtime import (
         Stopwatch,
         parallel_reliability_sweep,
@@ -728,7 +712,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import generate_report
 
-    print(generate_report(jobs=args.jobs, cache=_result_cache(args)))
+    print(generate_report(jobs=args.jobs))
     return 0
 
 
@@ -747,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_runtime_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes (0 = all cores; default 1 = serial)")
-        p.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="content-addressed result cache "
-                            "($REPRO_CACHE_DIR or ~/.cache/repro-dra)")
 
     def add_trace_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace", metavar="PATH", default=None,
@@ -829,10 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "for any --jobs")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (0 = all cores; default 1 = serial)")
-    p.add_argument("--json-out", dest="json_out",
-                   default="BENCH_validate.json", metavar="PATH",
-                   help="machine-readable report "
-                        "(default BENCH_validate.json; empty string disables)")
+    p.add_argument("--json-out", dest="json_out", default="", metavar="PATH",
+                   help="also write the schema-versioned JSON report to PATH "
+                        "(default: none)")
     p.add_argument("--perturb", action="append", metavar="PARAM=FACTOR",
                    help="scale an analytic-model parameter (repeatable); "
                         "a correct harness must then FAIL -- "

@@ -15,86 +15,51 @@ This subpackage implements Section 5 of the paper exactly:
 * :mod:`~repro.core.nines` -- the paper's "9^x" availability notation.
 """
 
-from repro.core.parameters import FailureRates, DRAConfig, RepairPolicy
-from repro.core.states import (
-    AllHealthy,
-    InterZoneState,
-    UAPIState,
-    UAPDState,
-    BusDown,
-    Failed,
-)
-from repro.core.reliability import (
-    build_bdr_reliability_chain,
-    build_dra_reliability_chain,
-    bdr_reliability,
-    dra_reliability,
-    ReliabilityResult,
-)
-from repro.core.availability import (
-    build_bdr_availability_chain,
-    build_dra_availability_chain,
-    bdr_availability,
-    dra_availability,
-    AvailabilityResult,
-)
-from repro.core.performance import (
-    PerformanceModel,
-    bandwidth_to_faulty,
-    degradation_series,
-)
-from repro.core.nines import count_nines, nines_notation, from_nines
-from repro.core.mttf import MTTFResult, bdr_mttf, dra_mttf, mttf_improvement
-from repro.core.importance import (
-    RateImportance,
-    reliability_rate_sensitivity,
-    unavailability_elasticities,
-)
-from repro.core.cost import CostModel, CostedDesign, compare_designs
-from repro.core.hetero import HeterogeneousPerformanceModel, HeteroDegradation
-from repro.core.performability import PerformabilityModel, PerformabilityResult
-from repro.core.interval import bdr_interval_availability, dra_interval_availability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FailureRates",
-    "DRAConfig",
-    "RepairPolicy",
-    "AllHealthy",
-    "InterZoneState",
-    "UAPIState",
-    "UAPDState",
-    "BusDown",
-    "Failed",
-    "build_bdr_reliability_chain",
-    "build_dra_reliability_chain",
-    "bdr_reliability",
-    "dra_reliability",
-    "ReliabilityResult",
-    "build_bdr_availability_chain",
-    "build_dra_availability_chain",
-    "bdr_availability",
-    "dra_availability",
-    "AvailabilityResult",
-    "PerformanceModel",
-    "bandwidth_to_faulty",
-    "degradation_series",
-    "count_nines",
-    "nines_notation",
-    "from_nines",
-    "MTTFResult",
-    "bdr_mttf",
-    "dra_mttf",
-    "mttf_improvement",
-    "RateImportance",
-    "unavailability_elasticities",
-    "reliability_rate_sensitivity",
-    "CostModel",
-    "CostedDesign",
-    "compare_designs",
-    "HeterogeneousPerformanceModel",
-    "HeteroDegradation",
-    "PerformabilityModel",
-    "PerformabilityResult",
-    "bdr_interval_availability",
-    "dra_interval_availability",
-]
+_EXPORTS = {
+    "FailureRates": "repro.core.parameters",
+    "DRAConfig": "repro.core.parameters",
+    "RepairPolicy": "repro.core.parameters",
+    "AllHealthy": "repro.core.states",
+    "InterZoneState": "repro.core.states",
+    "UAPIState": "repro.core.states",
+    "UAPDState": "repro.core.states",
+    "BusDown": "repro.core.states",
+    "Failed": "repro.core.states",
+    "build_bdr_reliability_chain": "repro.core.reliability",
+    "build_dra_reliability_chain": "repro.core.reliability",
+    "bdr_reliability": "repro.core.reliability",
+    "dra_reliability": "repro.core.reliability",
+    "ReliabilityResult": "repro.core.reliability",
+    "build_bdr_availability_chain": "repro.core.availability",
+    "build_dra_availability_chain": "repro.core.availability",
+    "bdr_availability": "repro.core.availability",
+    "dra_availability": "repro.core.availability",
+    "AvailabilityResult": "repro.core.availability",
+    "PerformanceModel": "repro.core.performance",
+    "bandwidth_to_faulty": "repro.core.performance",
+    "degradation_series": "repro.core.performance",
+    "count_nines": "repro.core.nines",
+    "nines_notation": "repro.core.nines",
+    "from_nines": "repro.core.nines",
+    "MTTFResult": "repro.core.mttf",
+    "bdr_mttf": "repro.core.mttf",
+    "dra_mttf": "repro.core.mttf",
+    "mttf_improvement": "repro.core.mttf",
+    "RateImportance": "repro.core.importance",
+    "unavailability_elasticities": "repro.core.importance",
+    "reliability_rate_sensitivity": "repro.core.importance",
+    "CostModel": "repro.core.cost",
+    "CostedDesign": "repro.core.cost",
+    "compare_designs": "repro.core.cost",
+    "HeterogeneousPerformanceModel": "repro.core.hetero",
+    "HeteroDegradation": "repro.core.hetero",
+    "PerformabilityModel": "repro.core.performability",
+    "PerformabilityResult": "repro.core.performability",
+    "bdr_interval_availability": "repro.core.interval",
+    "dra_interval_availability": "repro.core.interval",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,7 +10,9 @@ parsed :class:`~repro.lint.context.FileContext` set:
 1. **collect** -- per module, record top-level functions, classes (with
    their methods and ``self.<attr> = ClassName(...)`` attribute types),
    constants, mutable module-level containers, and the raw import
-   aliases;
+   aliases: module-level imports, the ``{name: module}`` table a package
+   hands to :func:`repro._lazy.lazy_exports`, and each function's own
+   function-local imports;
 2. **link** -- resolve every alias against the collected modules, so
    lookups afterwards are plain dict walks.
 
@@ -21,6 +23,8 @@ and every public accessor returns data in that insertion order.
 from __future__ import annotations
 
 import ast
+import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.lint.context import FileContext
@@ -75,6 +79,8 @@ class FunctionInfo:
     path: str
     lineno: int
     class_qname: str | None = None  #: owning class, for methods
+    #: function-local import aliases (local -> dotted target)
+    imports: dict[str, str] = field(default_factory=dict)
 
     @property
     def params(self) -> list[str]:
@@ -156,27 +162,62 @@ class ProjectIndex:
     def _collect(self, ctx: FileContext) -> None:
         mod = ModuleInfo(name=module_name(ctx.parts), path=ctx.path, ctx=ctx)
         self.modules[mod.name] = mod
+        tables: dict[str, dict[str, str]] = {}
         for node in ctx.tree.body:
             if isinstance(node, _FUNC_NODES):
                 self._add_function(mod, node, class_info=None)
             elif isinstance(node, ast.ClassDef):
                 self._add_class(mod, node)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    mod.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(mod, node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    mod.imports[local] = f"{base}.{alias.name}"
+            elif isinstance(node, ast.Import | ast.ImportFrom):
+                mod.imports.update(self._import_aliases(mod, node))
             elif isinstance(node, ast.Assign | ast.AnnAssign):
                 self._add_module_assign(mod, node)
+                self._add_lazy_exports(mod, node, tables)
+
+    def _import_aliases(
+        self, mod: ModuleInfo, node: ast.Import | ast.ImportFrom
+    ) -> Iterator[tuple[str, str]]:
+        """``(local alias, dotted target)`` for each name ``node`` binds."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                yield local, target
+            return
+        base = self._import_base(mod, node)
+        if base is None:
+            return
+        for alias in node.names:
+            if alias.name != "*":
+                yield alias.asname or alias.name, f"{base}.{alias.name}"
+
+    @staticmethod
+    def _add_lazy_exports(
+        mod: ModuleInfo,
+        node: ast.Assign | ast.AnnAssign,
+        tables: dict[str, dict[str, str]],
+    ) -> None:
+        """Treat the table of ``lazy_exports(__name__, TABLE)`` as
+        ``from module import name`` for every ``name: module`` entry.
+
+        ``TABLE`` is a module-level ``{str: str}`` literal bound earlier
+        in the module, so literal tables are remembered by name.
+        """
+        value = node.value
+        if isinstance(value, ast.Dict) and isinstance(node, ast.Assign):
+            table = _str_table(value)
+            for target in node.targets:
+                if table is not None and isinstance(target, ast.Name):
+                    tables[target.id] = table
+            return
+        if not (isinstance(value, ast.Call) and len(value.args) == 2):
+            return
+        fn = _dotted(value.func)
+        arg = value.args[1]
+        if fn is None or fn[-1] != "lazy_exports" or not isinstance(arg, ast.Name):
+            return
+        for name, module in tables.get(arg.id, {}).items():
+            mod.imports.setdefault(name, f"{module}.{name}")
 
     @staticmethod
     def _import_base(mod: ModuleInfo, node: ast.ImportFrom) -> str | None:
@@ -210,6 +251,9 @@ class ProjectIndex:
             lineno=node.lineno,
             class_qname=class_info.qname if class_info else None,
         )
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Import | ast.ImportFrom):
+                fi.imports.update(self._import_aliases(mod, sub))
         self.functions[qname] = fi
         if class_info is None:
             mod.functions[node.name] = fi
@@ -361,6 +405,27 @@ class ProjectIndex:
 
     def module_of(self, fi: FunctionInfo) -> ModuleInfo:
         return self.modules[fi.module]
+
+    def scope_of(self, fi: FunctionInfo) -> ModuleInfo:
+        """``fi``'s module as seen from inside ``fi``: its function-local
+        imports shadow the module-level ones."""
+        mod = self.modules[fi.module]
+        if not fi.imports:
+            return mod
+        return dataclasses.replace(mod, imports={**mod.imports, **fi.imports})
+
+
+def _str_table(node: ast.Dict) -> dict[str, str] | None:
+    """A ``{"name": "module", ...}`` literal as a dict, else None."""
+    out: dict[str, str] = {}
+    for key, val in zip(node.keys, node.values):
+        if not (
+            isinstance(key, ast.Constant) and isinstance(key.value, str)
+            and isinstance(val, ast.Constant) and isinstance(val.value, str)
+        ):
+            return None
+        out[key.value] = val.value
+    return out
 
 
 def _ctor_name(value: ast.expr) -> str | None:

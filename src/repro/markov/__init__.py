@@ -10,7 +10,9 @@ analysis (Section 5 of Mandviwalla & Tzeng, ICPP 2004).  It provides:
 * :mod:`~repro.markov.transient` -- transient state-probability solvers
   (matrix exponential, Krylov ``expm_multiply`` and an RK45 ODE fallback).
 * :mod:`~repro.markov.uniformization` -- Jensen's uniformization with an
-  a-priori truncation error bound, used to cross-check the other solvers.
+  a-priori truncation error bound, used to cross-check the other solvers;
+  its Poisson weights and truncation point are computed with numpy in
+  log space, not with ``scipy.stats``.
 * :mod:`~repro.markov.stationary` -- steady-state solvers (sparse linear
   solve, dense null space, power iteration on the uniformized chain).
 * :mod:`~repro.markov.absorbing` -- absorption probabilities, mean time to
@@ -21,48 +23,33 @@ analysis (Section 5 of Mandviwalla & Tzeng, ICPP 2004).  It provides:
 All solvers operate on :class:`scipy.sparse` matrices and are vectorized
 over time grids; no Python-level loop touches individual matrix entries
 after construction.
+
+The names below are re-exported lazily (:mod:`repro._lazy`): importing
+this package loads no solver, and ``scipy.integrate`` is imported only
+inside the ODE paths that call it.
 """
 
-from repro.markov.builder import CTMCBuilder
-from repro.markov.ctmc import CTMC
-from repro.markov.transient import transient_distribution
-from repro.markov.stationary import stationary_distribution
-from repro.markov.uniformization import uniformized_distribution
-from repro.markov.absorbing import (
-    absorption_probabilities,
-    absorption_time_moments,
-    mean_time_to_absorption,
-    phase_type_cdf,
-)
-from repro.markov.sensitivity import transient_sensitivity
-from repro.markov.rewards import (
-    accumulated_reward,
-    instantaneous_reward,
-    interval_availability,
-    reward_vector,
-)
-from repro.markov.dtmc import DTMC
-from repro.markov.firstpassage import (
-    expected_first_passage_times,
-    hitting_probabilities,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CTMC",
-    "CTMCBuilder",
-    "transient_distribution",
-    "stationary_distribution",
-    "uniformized_distribution",
-    "absorption_probabilities",
-    "absorption_time_moments",
-    "mean_time_to_absorption",
-    "phase_type_cdf",
-    "transient_sensitivity",
-    "reward_vector",
-    "instantaneous_reward",
-    "accumulated_reward",
-    "interval_availability",
-    "expected_first_passage_times",
-    "hitting_probabilities",
-    "DTMC",
-]
+_EXPORTS = {
+    "CTMC": "repro.markov.ctmc",
+    "CTMCBuilder": "repro.markov.builder",
+    "transient_distribution": "repro.markov.transient",
+    "stationary_distribution": "repro.markov.stationary",
+    "uniformized_distribution": "repro.markov.uniformization",
+    "absorption_probabilities": "repro.markov.absorbing",
+    "absorption_time_moments": "repro.markov.absorbing",
+    "mean_time_to_absorption": "repro.markov.absorbing",
+    "phase_type_cdf": "repro.markov.absorbing",
+    "transient_sensitivity": "repro.markov.sensitivity",
+    "reward_vector": "repro.markov.rewards",
+    "instantaneous_reward": "repro.markov.rewards",
+    "accumulated_reward": "repro.markov.rewards",
+    "interval_availability": "repro.markov.rewards",
+    "expected_first_passage_times": "repro.markov.firstpassage",
+    "hitting_probabilities": "repro.markov.firstpassage",
+    "DTMC": "repro.markov.dtmc",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from repro.markov.ctmc import CTMC
 from repro.markov.transient import transient_distribution
@@ -92,7 +91,9 @@ def accumulated_reward(
     t_end = float(t_uniq[-1]) if t_uniq.size else 0.0
     if t_end == 0.0:
         return np.zeros(t.size)
-    sol = scipy.integrate.solve_ivp(
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
         rhs,
         (0.0, t_end),
         np.concatenate([pi0, [0.0]]),

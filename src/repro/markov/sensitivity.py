@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from repro.markov.ctmc import CTMC
 from repro.markov.transient import transient_distribution
@@ -105,7 +104,9 @@ def forward_sensitivity(
     t_end = float(t_uniq[-1]) if t_uniq.size else 0.0
     if t_end == 0.0:
         return np.zeros((t.size, n))
-    sol = scipy.integrate.solve_ivp(
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
         rhs, (0.0, t_end), y0, t_eval=t_uniq, method="LSODA", rtol=rtol, atol=atol
     )
     if not sol.success:  # pragma: no cover

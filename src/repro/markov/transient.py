@@ -27,7 +27,6 @@ from collections.abc import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.integrate
 import scipy.sparse.linalg
 
 from repro.markov.ctmc import CTMC
@@ -147,7 +146,9 @@ def _solve_ode(
     t_end = float(sorted_t[-1])
     if t_end == 0.0:
         return np.tile(pi0, (t.size, 1))
-    sol = scipy.integrate.solve_ivp(
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
         rhs,
         (0.0, t_end),
         pi0,

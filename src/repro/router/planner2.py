@@ -14,7 +14,7 @@ This module makes the selection *policy* pluggable:
 * :class:`StaticPolicy` (the default) reproduces the paper's rank-based
   contention resolution bit for bit -- same delay formula, same RNG
   draws, same winner -- so every pre-existing artifact (chaos campaign
-  JSON, ``BENCH_validate.json``) is unchanged;
+  JSON, the ``validate`` report) is unchanged;
 * :class:`AdaptivePolicy` scores each candidate on its *own* locally
   observable state -- reserved-rate headroom after the hypothetical
   reservation, coverage streams it already carries, and a decayed

@@ -1,4 +1,4 @@
-"""Parallel execution runtime: process pools, result caching, timing.
+"""Parallel execution runtime: process pools and timing.
 
 The analysis layer (:mod:`repro.analysis`) and the Monte Carlo estimators
 (:mod:`repro.montecarlo`) are pure functions of their configuration; this
@@ -14,9 +14,6 @@ without touching their semantics:
   results are **bit-identical for a given root seed regardless of the
   worker count** (fixed chunking + ``SeedSequence.spawn`` streams +
   order-independent reductions);
-* :mod:`~repro.runtime.cache` -- a content-addressed on-disk result cache
-  keyed on a stable hash of the configuration dataclasses, array inputs
-  and the code version;
 * :mod:`~repro.runtime.timing` -- wall-time / throughput instrumentation
   surfaced through ``repro.analysis.report`` and the ``bench`` CLI
   subcommand;
@@ -29,45 +26,27 @@ See ``docs/performance.md`` for the worker model, the determinism
 guarantee and benchmarking instructions.
 """
 
-from repro.runtime.cache import ResultCache, stable_hash
-from repro.runtime.executor import effective_jobs, metered_parallel_map, parallel_map
-from repro.runtime.montecarlo import (
-    parallel_structure_function_reliability,
-    parallel_unavailability_importance_sampling,
-)
-from repro.runtime.sweeps import (
-    parallel_availability_sweep,
-    parallel_performance_sweep,
-    parallel_reliability_sweep,
-)
-from repro.runtime.throughput import (
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_THRESHOLD,
-    canonical_throughput_payload,
-    compare_to_baseline,
-    make_baseline,
-    run_throughput_suite,
-)
-from repro.runtime.timing import RuntimeMetrics, StageTiming, Stopwatch
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_THRESHOLD",
-    "canonical_throughput_payload",
-    "compare_to_baseline",
-    "make_baseline",
-    "run_throughput_suite",
-    "ResultCache",
-    "stable_hash",
-    "effective_jobs",
-    "parallel_map",
-    "metered_parallel_map",
-    "parallel_structure_function_reliability",
-    "parallel_unavailability_importance_sampling",
-    "parallel_reliability_sweep",
-    "parallel_availability_sweep",
-    "parallel_performance_sweep",
-    "RuntimeMetrics",
-    "StageTiming",
-    "Stopwatch",
-]
+_EXPORTS = {
+    "DEFAULT_BASELINE_PATH": "repro.runtime.throughput",
+    "DEFAULT_THRESHOLD": "repro.runtime.throughput",
+    "canonical_throughput_payload": "repro.runtime.throughput",
+    "compare_to_baseline": "repro.runtime.throughput",
+    "make_baseline": "repro.runtime.throughput",
+    "run_throughput_suite": "repro.runtime.throughput",
+    "effective_jobs": "repro.runtime.executor",
+    "parallel_map": "repro.runtime.executor",
+    "metered_parallel_map": "repro.runtime.executor",
+    "parallel_structure_function_reliability": "repro.runtime.montecarlo",
+    "parallel_unavailability_importance_sampling": "repro.runtime.montecarlo",
+    "parallel_reliability_sweep": "repro.runtime.sweeps",
+    "parallel_availability_sweep": "repro.runtime.sweeps",
+    "parallel_performance_sweep": "repro.runtime.sweeps",
+    "RuntimeMetrics": "repro.runtime.timing",
+    "StageTiming": "repro.runtime.timing",
+    "Stopwatch": "repro.runtime.timing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,4 +1,4 @@
-"""Parallel, cache-aware drivers for the Figure 6/7/8 sweeps.
+"""Parallel drivers for the Figure 6/7/8 sweeps.
 
 Each driver is a drop-in equivalent of its serial counterpart in
 :mod:`repro.analysis.sweep`: same arguments, same record order, same
@@ -7,15 +7,11 @@ repair-policy) pair -- because each unit builds and solves an independent
 Markov chain, which is where all the time goes; the per-unit record
 lists are merged back in serial submission order so the output is
 indistinguishable from a serial run.
-
-With a :class:`~repro.runtime.cache.ResultCache` attached, every unit is
-looked up before being dispatched and stored after being solved, so a
-repeated ``report``/``claims``/figure run re-solves nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -31,7 +27,6 @@ from repro.analysis.sweep import (
 )
 from repro.core.parameters import FailureRates, RepairPolicy
 from repro.core.performance import DEFAULT_LC_CAPACITY_GBPS
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import effective_jobs, metered_parallel_map
 from repro.runtime.timing import RuntimeMetrics, Stopwatch
 
@@ -43,32 +38,6 @@ __all__ = [
 
 #: Sentinel naming the baseline curve in a work-unit spec.
 _BDR = "BDR"
-
-
-def _fill_units(
-    payloads: Sequence[Any],
-    task: Callable[[Any], list[SweepRecord]],
-    keys: Sequence[str] | None,
-    *,
-    jobs: int,
-    cache: ResultCache | None,
-) -> list[list[SweepRecord]]:
-    """Resolve every unit from cache or the pool, preserving order."""
-    results: list[list[SweepRecord] | None] = [None] * len(payloads)
-    missing: list[int] = []
-    for idx in range(len(payloads)):
-        if cache is not None and keys is not None:
-            hit, value = cache.get(keys[idx])
-            if hit:
-                results[idx] = value
-                continue
-        missing.append(idx)
-    computed = metered_parallel_map(task, [payloads[i] for i in missing], jobs=jobs)
-    for idx, value in zip(missing, computed):
-        results[idx] = value
-        if cache is not None and keys is not None:
-            cache.put(keys[idx], value)
-    return results  # type: ignore[return-value]
 
 
 def _reliability_unit(payload: tuple) -> list[SweepRecord]:
@@ -97,7 +66,6 @@ def parallel_reliability_sweep(
     include_bdr: bool = True,
     method: str = "expm_multiply",
     jobs: int = 1,
-    cache: ResultCache | None = None,
     metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 6 records, one worker task per reliability curve."""
@@ -107,23 +75,8 @@ def parallel_reliability_sweep(
     jobs = effective_jobs(jobs)
     specs: list[Any] = ([_BDR] if include_bdr else []) + list(configs)
     payloads = [(times, spec, rates, variant, method) for spec in specs]
-    keys = (
-        [
-            cache.key(
-                "reliability_sweep",
-                times=times,
-                spec=spec,
-                rates=rates,
-                variant=variant,
-                method=method,
-            )
-            for spec in specs
-        ]
-        if cache is not None
-        else None
-    )
     with Stopwatch() as sw:
-        per_unit = _fill_units(payloads, _reliability_unit, keys, jobs=jobs, cache=cache)
+        per_unit = metered_parallel_map(_reliability_unit, payloads, jobs=jobs)
     records = [rec for unit in per_unit for rec in unit]
     if metrics is not None:
         metrics.record(
@@ -160,7 +113,6 @@ def parallel_availability_sweep(
     variant: str = "paper",
     include_bdr: bool = True,
     jobs: int = 1,
-    cache: ResultCache | None = None,
     metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 7 records, one worker task per (repair policy, config)."""
@@ -177,22 +129,8 @@ def parallel_availability_sweep(
             specs.append((_BDR, rp))
         specs.extend(((n, m), rp) for n, m in configs)
     payloads = [(spec, rp, rates, variant) for spec, rp in specs]
-    keys = (
-        [
-            cache.key(
-                "availability_sweep",
-                spec=spec,
-                repair=rp,
-                rates=rates,
-                variant=variant,
-            )
-            for spec, rp in specs
-        ]
-        if cache is not None
-        else None
-    )
     with Stopwatch() as sw:
-        per_unit = _fill_units(payloads, _availability_unit, keys, jobs=jobs, cache=cache)
+        per_unit = metered_parallel_map(_availability_unit, payloads, jobs=jobs)
     records = [rec for unit in per_unit for rec in unit]
     if metrics is not None:
         metrics.record(
@@ -212,26 +150,13 @@ def parallel_performance_sweep(
     c_lc: float = DEFAULT_LC_CAPACITY_GBPS,
     b_bus: float | None = None,
     jobs: int = 1,  # noqa: ARG001 - accepted for API uniformity
-    cache: ResultCache | None = None,
     metrics: RuntimeMetrics | None = None,
 ) -> list[SweepRecord]:
     """Figure 8 records (algebraic -- microseconds of work, so the
     ``jobs`` argument is accepted for uniformity but the computation runs
-    in-process; the cache still applies)."""
+    in-process)."""
     with Stopwatch() as sw:
-        if cache is not None:
-            key = cache.key(
-                "performance_sweep",
-                loads=None if loads is None else tuple(loads),
-                n=n,
-                c_lc=c_lc,
-                b_bus=b_bus,
-            )
-            records = cache.get_or_compute(
-                key, lambda: performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
-            )
-        else:
-            records = performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
+        records = performance_sweep(loads=loads, n=n, c_lc=c_lc, b_bus=b_bus)
     if metrics is not None:
         metrics.record(
             "performance sweep (Figure 8)",

@@ -43,7 +43,7 @@ __all__ = [
     "ESCALATION_FACTOR",
 ]
 
-#: Schema identity of the BENCH_validate.json report.
+#: Schema identity of the ``validate --json-out`` report.
 REPORT_SCHEMA = "repro-validate"
 REPORT_SCHEMA_VERSION = 1
 

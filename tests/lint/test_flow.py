@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -537,6 +538,87 @@ class TestGraphExport:
         assert ("_sim", "pool") in edges
         assert ("open_faults", "call") in edges
         assert any(w.endswith("._sim") for w in doc["worker_entries"])
+
+    def test_lazy_exports_and_local_imports_resolve(self, tmp_path):
+        files = {
+            "src/repro/pkg/__init__.py": """
+                from repro._lazy import lazy_exports
+
+                _EXPORTS = {"solve": "repro.pkg.impl"}
+                __all__ = list(_EXPORTS)
+                __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+            """,
+            "src/repro/pkg/impl.py": """
+                def solve():
+                    return 1
+
+                def helper():
+                    return 2
+            """,
+            "src/repro/user.py": """
+                from repro.pkg import solve
+
+                def via_table():
+                    return solve()
+
+                def via_local_import():
+                    from repro.pkg.impl import helper
+
+                    return helper()
+
+                def local_import_stays_local():
+                    return helper()
+            """,
+        }
+        for rel, src in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(src))
+        out = tmp_path / "graph.json"
+        lint_paths([str(tmp_path)], graph_out=str(out))
+        calls = {
+            f["name"]: {c["to"] for c in f["calls"]}
+            for f in json.loads(out.read_text())["functions"]
+        }
+        assert calls["repro.user.via_table"] == {"repro.pkg.impl.solve"}
+        assert calls["repro.user.via_local_import"] == {"repro.pkg.impl.helper"}
+        assert calls["repro.user.local_import_stays_local"] == set()
+
+    def test_real_tree_keeps_reexport_edges(self, tmp_path):
+        # Edges that run through the packages' lazy export tables or a
+        # function-local import; losing any means the linter went blind
+        # to the call.
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = tmp_path / "graph.json"
+        lint_paths([str(src)], graph_out=str(out))
+        edges = {
+            (f["name"], c["to"])
+            for f in json.loads(out.read_text())["functions"]
+            for c in f["calls"]
+        }
+        expected = {
+            ("repro.validate.pairs._pair_unreliability_transient",
+             "repro.markov.uniformization.uniformized_distribution"),
+            ("repro.cli._traced_fig8_crosscheck",
+             "repro.markov.uniformization.uniformized_distribution"),
+            ("repro.core.availability.dra_availability",
+             "repro.markov.stationary.stationary_distribution"),
+            ("repro.core.mttf.dra_mttf",
+             "repro.markov.absorbing.mean_time_to_absorption"),
+            ("repro.core.reliability.build_dra_reliability_chain",
+             "repro.markov.builder.CTMCBuilder.__init__"),
+            ("repro.core.reliability.build_dra_reliability_chain",
+             "repro.markov.builder.CTMCBuilder.add_transition"),
+            ("repro.core.reliability.build_dra_reliability_chain",
+             "repro.markov.builder.CTMCBuilder.build"),
+            ("repro.analysis.sweep.reliability_sweep",
+             "repro.core.reliability.bdr_reliability"),
+            ("repro.analysis.sweep.availability_sweep",
+             "repro.core.availability.bdr_availability"),
+            ("repro.cli._cmd_fig6", "repro.analysis.export.records_to_csv"),
+            ("repro.cli._cmd_fig8", "repro.analysis.sweep.performance_sweep"),
+        }
+        assert expected - edges == set()
 
     def test_graph_bytes_identical_across_jobs(self, tmp_path):
         _write_tree(tmp_path, BAD_DRA503)

@@ -9,7 +9,6 @@ from repro.analysis.sweep import (
 )
 from repro.core import RepairPolicy
 from repro.runtime import (
-    ResultCache,
     RuntimeMetrics,
     parallel_availability_sweep,
     parallel_performance_sweep,
@@ -38,30 +37,6 @@ class TestReliabilitySweep:
         )
         assert parallel == serial
 
-    def test_cache_round_trip_preserves_records(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold = parallel_reliability_sweep(
-            times=TIMES, configs=CONFIGS, jobs=1, cache=cache
-        )
-        assert cache.misses == len(CONFIGS) + 1  # +1 for the BDR curve
-        warm = parallel_reliability_sweep(
-            times=TIMES, configs=CONFIGS, jobs=1, cache=cache
-        )
-        assert warm == cold
-        assert cache.hits == len(CONFIGS) + 1
-
-    def test_cache_key_separates_variants(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        paper = parallel_reliability_sweep(
-            times=TIMES, configs=[(3, 2)], include_bdr=False, cache=cache
-        )
-        extended = parallel_reliability_sweep(
-            times=TIMES, configs=[(3, 2)], include_bdr=False,
-            variant="extended", cache=cache,
-        )
-        assert cache.hits == 0
-        assert paper != extended
-
     def test_metrics_recorded(self):
         metrics = RuntimeMetrics()
         records = parallel_reliability_sweep(
@@ -86,21 +61,7 @@ class TestAvailabilitySweep:
             configs=[(3, 2)], repairs=repairs, jobs=2
         ) == serial
 
-    def test_cache_hits_on_second_run(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold = parallel_availability_sweep(configs=[(3, 2)], cache=cache)
-        warm = parallel_availability_sweep(configs=[(3, 2)], cache=cache)
-        assert warm == cold
-        # Two repair policies x (BDR + one config) = 4 units each way.
-        assert cache.misses == 4 and cache.hits == 4
-
 
 class TestPerformanceSweep:
     def test_matches_serial_records_exactly(self):
         assert parallel_performance_sweep(jobs=4) == performance_sweep()
-
-    def test_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold = parallel_performance_sweep(cache=cache)
-        warm = parallel_performance_sweep(cache=cache)
-        assert warm == cold and cache.hits == 1

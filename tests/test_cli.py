@@ -44,7 +44,7 @@ class TestCLI:
         assert "label,x,value" in csv_path.read_text()
 
     def test_validate_quick(self, tmp_path, capsys):
-        out_json = tmp_path / "BENCH_validate.json"
+        out_json = tmp_path / "validate.json"
         assert main(["validate", "--suite", "tiny",
                      "--json-out", str(out_json)]) == 0
         out = capsys.readouterr().out
@@ -53,6 +53,12 @@ class TestCLI:
         assert payload["schema"] == "repro-validate" and payload["v"] == 1
         assert payload["passed"] is True
         assert payload["n_pairs"] == len(payload["pairs"]) >= 2
+
+    def test_validate_writes_no_file_by_default(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--suite", "tiny"]) == 0
+        assert "pairs agree" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_perturbed_model_fails(self, capsys):
         # The acceptance criterion: a deliberately wrong analytic model
@@ -87,21 +93,13 @@ class TestCLI:
 
 
 class TestRuntimeFlags:
-    """The --jobs/--seed/--cache wiring added with repro.runtime."""
+    """The --jobs/--seed wiring added with repro.runtime."""
 
     def test_fig6_jobs(self, capsys):
         assert main(["fig6", "--points", "0,40000", "--configs", "3:2",
                      "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "BDR" in out and "DRA(N=3,M=2)" in out
-
-    def test_fig7_cache_warm_run_identical(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["fig7", "--configs", "3:2", "--cache"]) == 0
-        cold = capsys.readouterr().out
-        assert main(["fig7", "--configs", "3:2", "--cache"]) == 0
-        assert capsys.readouterr().out == cold
-        assert any(tmp_path.glob("*/*.pkl"))
 
     def test_validate_jobs_byte_identical(self, tmp_path, capsys):
         # The acceptance criterion: same --seed => byte-identical JSON
@@ -156,11 +154,6 @@ class TestRuntimeFlags:
         out = capsys.readouterr().out
         assert "Runtime — wall time per stage" in out
         assert "reliability sweep (Figure 6)" in out
-
-    def test_report_cache_stats_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["report", "--cache"]) == 0
-        assert "miss(es)" in capsys.readouterr().out
 
     def test_report_observability_section(self, capsys):
         assert main(["report"]) == 0

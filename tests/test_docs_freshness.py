@@ -7,6 +7,7 @@ without documentation; see docs/cli.md's header note.
 """
 
 import argparse
+import re
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,24 @@ def test_every_flag_has_help_text(commands):
         if not action.help
     ]
     assert not missing, f"parser actions without help: {missing}"
+
+
+def test_runtime_flag_table_matches_parser(cli_doc, commands):
+    # The reverse direction: a row of the recurring-flags table must not
+    # outlive the flag it documents on any command it lists.
+    stale = []
+    for line in cli_doc.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`--"):
+            continue
+        flags = re.findall(r"--[a-z][a-z-]*", cells[0])
+        for cmd in re.findall(r"`([a-z0-9]+)`", cells[1]):
+            if cmd not in commands:
+                stale.append(f"{cmd} (no such subcommand)")
+                continue
+            options = {
+                opt for action in commands[cmd]._actions
+                for opt in action.option_strings
+            }
+            stale.extend(f"{cmd} {flag}" for flag in flags if flag not in options)
+    assert not stale, f"docs/cli.md flag table lists missing flags: {stale}"
