@@ -277,7 +277,7 @@ def build_callgraph(index: ProjectIndex) -> CallGraph:
     graph = CallGraph(index=index)
     for mod in index.modules.values():
         for fi in _module_functions(index, mod):
-            _visit_function(graph, index, index.scope_of(fi), fi)
+            _visit_function(graph, index, index.module_of(fi), fi)
     return graph
 
 

@@ -404,9 +404,6 @@ class ProjectIndex:
         return None
 
     def module_of(self, fi: FunctionInfo) -> ModuleInfo:
-        return self.modules[fi.module]
-
-    def scope_of(self, fi: FunctionInfo) -> ModuleInfo:
         """``fi``'s module as seen from inside ``fi``: its function-local
         imports shadow the module-level ones."""
         mod = self.modules[fi.module]

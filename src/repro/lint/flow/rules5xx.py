@@ -215,12 +215,13 @@ def check_rng_provenance(p: ProjectAnalysis) -> Iterator[Finding]:
                 continue  # unseeded: DRA101's finding
             if func not in local_envs:
                 local_envs[func] = _df.local_const_env(func)
+            qname = _qname_of_node(p, mod, func)
+            scope = p.index.module_of(p.index.functions[qname]) if qname else mod
             seed = _df.fold_const(
-                node.args[0], index=p.index, mod=mod, local_env=local_envs[func]
+                node.args[0], index=p.index, mod=scope, local_env=local_envs[func]
             )
             if seed is _df.MISSING or not isinstance(seed, int):
                 continue
-            qname = _qname_of_node(p, mod, func)
             entry = p.worker_reach.get(qname) if qname else None
             if entry is not None:
                 yield _finding(
@@ -459,8 +460,9 @@ def _tainted_params(p: ProjectAnalysis, fi: FunctionInfo) -> dict[str, str]:
     "dict/set order never flows across functions into dispatch or spawns",
 )
 def check_unordered_escape(p: ProjectAnalysis) -> Iterator[Finding]:
-    for mod in p.library_modules():
-        for fi in p.functions_of(mod):
+    for lib_mod in p.library_modules():
+        for fi in p.functions_of(lib_mod):
+            mod = p.index.module_of(fi)
             dispatches = [
                 node
                 for node in ast.walk(fi.node)
@@ -550,10 +552,11 @@ def _registered(kind: str, value: str) -> bool:
 def check_literal_flow(p: ProjectAnalysis) -> Iterator[Finding]:
     registry = "repro.obs.schema.TRACE_EVENT_KINDS"
     metric_reg = "repro.obs.schema.METRIC_NAMES/METRIC_FAMILIES"
-    for mod in p.library_modules():
-        if mod.ctx.subpackage == "obs":
+    for lib_mod in p.library_modules():
+        if lib_mod.ctx.subpackage == "obs":
             continue  # the registry/merge machinery itself
-        for fi in p.functions_of(mod):
+        for fi in p.functions_of(lib_mod):
+            mod = p.index.module_of(fi)
             params = fi.params
             env = _df.local_const_env(fi.node)
             for node in ast.walk(fi.node):

@@ -162,6 +162,20 @@ class TestDRA501RngProvenance:
     def test_hard_seed_through_cross_module_constant(self, flow_codes):
         assert flow_codes(BAD_DRA501) == ["DRA501"]
 
+    def test_hard_seed_through_function_local_import(self, flow_codes):
+        files = {
+            "src/repro/mc/consts.py": "SEED = 1234\n",
+            "src/repro/mc/driver.py": """
+                def make():
+                    from numpy.random import default_rng
+
+                    from repro.mc.consts import SEED
+
+                    return default_rng(SEED)
+            """,
+        }
+        assert flow_codes(files) == ["DRA501"]
+
     def test_closure_capturing_stream_across_pool(self, flow_codes):
         assert flow_codes(BAD_DRA501_CLOSURE) == ["DRA501"]
 
