@@ -78,9 +78,6 @@ class CampaignConfig:
     #: keeps the paper's slot-rank first-fit; "adaptive" adds scoring,
     #: replanning and fair degradation -- same 13 invariant families).
     coverage_policy: str = "static"
-    #: fabric cell-clock dispatch ("batched" or its bit-identical
-    #: "scalar" reference oracle, docs/performance.md).
-    cell_dispatch: str = "batched"
 
     def __post_init__(self) -> None:
         if self.seeds <= 0:
@@ -110,7 +107,6 @@ def run_schedule(cfg: CampaignConfig, idx: int) -> dict:
             mode=RouterMode.DRA,
             seed=seed,
             coverage_policy=cfg.coverage_policy,
-            cell_dispatch=cfg.cell_dispatch,
         )
     )
     detector = router.enable_detection(cfg.detection)
@@ -221,7 +217,6 @@ def _replay_for_trace(cfg: CampaignConfig, idx: int) -> None:
             mode=RouterMode.DRA,
             seed=seed,
             coverage_policy=cfg.coverage_policy,
-            cell_dispatch=cfg.cell_dispatch,
         )
     )
     router.enable_detection(cfg.detection)

@@ -622,7 +622,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         accel=args.accel,
         detection=detection,
         coverage_policy=args.coverage_policy,
-        cell_dispatch=args.cell_dispatch,
     )
 
     # Campaign workers fork from this process; a file-backed tracer must
@@ -886,12 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(paper's slot-rank first-fit) or adaptive "
                         "(headroom/health/spread scoring with replanning "
                         "and fair degradation)")
-    p.add_argument("--cell-dispatch", dest="cell_dispatch",
-                   choices=("batched", "scalar"), default="batched",
-                   help="fabric cell-clock dispatch: batched (one burst "
-                        "event per run of queued cells) or scalar (one "
-                        "heap event per cell, the bit-identical "
-                        "reference oracle)")
     p.add_argument("--json-out", dest="json_out", default="",
                    metavar="PATH", help="write the full campaign report as JSON")
     add_trace_flag(p)

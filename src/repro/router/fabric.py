@@ -13,28 +13,18 @@ Transfer model: one FIFO queue per output port drained at the port's cell
 rate (a standard output-queued crossbar abstraction); the fabric is
 non-blocking on inputs.
 
-Cell-clock dispatch comes in two flavours, mirroring the Monte Carlo
-kernels' ``method=`` switch (``docs/performance.md``):
-
-* ``cell_dispatch="scalar"`` -- the reference oracle: every cell crossing
-  a port schedules its own heap event, exactly the original per-cell
-  clock.
-* ``cell_dispatch="batched"`` (default) -- a run of queued cells is
-  driven by one :meth:`~repro.sim.Engine.schedule_run` burst whose
-  per-cell callbacks fire at their computed timestamps inside it.  The
-  effective rate is re-read at every cell boundary -- the same instant
-  the scalar clock reads it -- so a mid-run ``active_fraction`` change
-  (card fail/repair/spare swap) splits the burst onto the new rate with
-  timestamps bit-identical to the scalar reference.
-
-Both dispatchers read the cached ``_fraction`` maintained by
-:meth:`fail_card` / :meth:`repair_card`; card-health changes must go
-through those methods for the data path to see them.  The only
-observable difference between the modes is queue accounting granularity:
-the scalar clock holds the in-service cell outside the queue while the
-batched clock pops at delivery, so ``queue_depth`` can differ by one
-mid-flight.  Delivery timestamps, trace events, drop accounting and
-counters are bit-identical (``tests/router/test_fabric_dispatch.py``).
+Cell clock: each busy output port keeps exactly one heap event in
+flight, for the cell at the head of its queue.  The delivery callback
+and the event label are built once per port, so a cell costs one
+``engine.schedule`` call.  On delivery the head cell is popped and
+handed to its callback, then the effective rate is re-read from the
+cached ``_fraction`` maintained by :meth:`fail_card` /
+:meth:`repair_card` -- so a card change mid-run moves every later cell
+onto the new rate from the next cell boundary on.  Card-health changes
+must go through those methods for the data path to see them.  When the
+rate has fallen to zero the rest of the queue is dropped, with the loss
+accounted (counter, ``fabric.cells_dropped`` metric, ``fabric.drop``
+trace event).
 """
 
 from __future__ import annotations
@@ -48,10 +38,7 @@ from repro.obs import trace as _trace
 from repro.sim import Engine
 from repro.router.packets import Cell
 
-__all__ = ["FabricCard", "SwitchFabric", "CELL_DISPATCH_MODES"]
-
-#: Recognised cell-clock dispatch modes (``scalar`` is the oracle).
-CELL_DISPATCH_MODES = ("batched", "scalar")
+__all__ = ["FabricCard", "SwitchFabric"]
 
 
 @dataclass
@@ -80,6 +67,10 @@ class _OutputPort:
     busy: bool = False
     delivered_cells: int = 0
     dropped_cells: int = 0
+    #: the port's delivery event action and label, built once by
+    #: :class:`SwitchFabric` so a cell costs one ``schedule`` call.
+    finish: Callable[[], None] | None = None
+    label: str = ""
 
 
 class SwitchFabric:
@@ -97,9 +88,6 @@ class SwitchFabric:
         Fabric card complement (default 4 + 1, the Cisco 12000 layout).
         Port rate scales with ``active_fraction`` when cards are lost
         beyond the spares.
-    cell_dispatch:
-        ``"batched"`` (one burst event per run of queued cells) or
-        ``"scalar"`` (one heap event per cell, the reference oracle).
     """
 
     def __init__(
@@ -110,22 +98,17 @@ class SwitchFabric:
         port_rate_cells_per_s: float = 25e6,
         n_active_cards: int = 4,
         n_spare_cards: int = 1,
-        cell_dispatch: str = "batched",
     ) -> None:
         if n_ports < 1:
             raise ValueError(f"fabric needs at least one port, got {n_ports}")
         if n_active_cards < 1 or n_spare_cards < 0:
             raise ValueError("invalid fabric card complement")
-        if cell_dispatch not in CELL_DISPATCH_MODES:
-            raise ValueError(
-                f"unknown cell_dispatch {cell_dispatch!r}; "
-                f"choose from {CELL_DISPATCH_MODES}"
-            )
         self._engine = engine
-        self._ports = [_OutputPort() for _ in range(n_ports)]
+        self._ports = [_OutputPort(label=f"fabric:port{i}") for i in range(n_ports)]
+        for i, port in enumerate(self._ports):
+            port.finish = self._clock(i)
         self._rate = port_rate_cells_per_s
         self._n_active_required = n_active_cards
-        self.cell_dispatch = cell_dispatch
         self.cards = [
             FabricCard(i, port_rate_cells_per_s / n_active_cards)
             for i in range(n_active_cards + n_spare_cards)
@@ -133,8 +116,8 @@ class SwitchFabric:
         for spare in self.cards[n_active_cards:]:
             spare.active = False
         self.swaps = 0  # spare activations, for stats
-        #: cached ``active_fraction``, refreshed by fail/repair; both
-        #: dispatchers read this at every cell boundary.
+        #: cached ``active_fraction``, refreshed by fail/repair; the cell
+        #: clock reads it at every cell boundary.
         self._fraction = self.active_fraction
 
     @property
@@ -190,7 +173,7 @@ class SwitchFabric:
         port = self._ports[dst_port]
         port.queue.append((cell, on_delivered))
         if not port.busy:
-            self._begin(dst_port)
+            self._start(port)
         return True
 
     def transfer_run(
@@ -217,68 +200,38 @@ class SwitchFabric:
         for cell in cells:
             append((cell, on_delivered))
         if not port.busy and port.queue:
-            self._begin(dst_port)
+            self._start(port)
         return True
 
-    def _begin(self, port_idx: int) -> None:
-        """Start the configured cell clock on an idle, non-empty port."""
-        if self.cell_dispatch == "batched":
-            self._start_run(port_idx)
-        else:
-            self._drain(port_idx)
-
-    # -- scalar dispatch: one heap event per cell (the reference oracle) ----
-
-    def _drain(self, port_idx: int) -> None:
-        port = self._ports[port_idx]
-        if not port.queue:
-            port.busy = False
-            return
-        port.busy = True
-        rate = self._rate * self._fraction
-        if rate <= 0.0:
-            # Fabric died with cells in flight: the queue is dropped,
-            # with the loss accounted (metric, trace event, counters).
-            self._drop_queue(port_idx)
-            return
-        cell, callback = port.queue.popleft()
-        delay = 1.0 / rate
-
-        def finish() -> None:
-            port.delivered_cells += 1
-            callback(cell)
-            self._drain(port_idx)
-
-        self._engine.schedule_in(delay, finish, label=f"fabric:port{port_idx}")
-
-    # -- batched dispatch: one burst run per run of queued cells ------------
-
-    def _start_run(self, port_idx: int) -> None:
-        port = self._ports[port_idx]
+    def _start(self, port: _OutputPort) -> None:
+        """Start the cell clock on an idle port with a non-empty queue."""
         port.busy = True
         engine = self._engine
-        queue = port.queue
         rate = self._rate * self._fraction
+        engine.schedule(engine.now + 1.0 / rate, port.finish, label=port.label)
 
-        def step() -> float | None:
+    def _clock(self, port_idx: int) -> Callable[[], None]:
+        """Build ``port_idx``'s delivery action: deliver the head cell,
+        then schedule the next one at the rate in force now."""
+        port = self._ports[port_idx]
+        queue = port.queue
+        engine = self._engine
+        label = port.label
+
+        def finish() -> None:
             cell, callback = queue.popleft()
             port.delivered_cells += 1
             callback(cell)
             if not queue:
                 port.busy = False
-                return None
-            # Re-read the effective rate at the cell boundary -- the
-            # same instant the scalar clock reads it -- so a mid-run
-            # active_fraction change splits the burst onto the new rate.
+                return
             rate = self._rate * self._fraction
             if rate <= 0.0:
                 self._drop_queue(port_idx)
-                return None
-            return engine.now + 1.0 / rate
+                return
+            engine.schedule(engine.now + 1.0 / rate, finish, label=label)
 
-        engine.schedule_run(
-            engine.now + 1.0 / rate, step, label=f"fabric:port{port_idx}"
-        )
+        return finish
 
     def _drop_queue(self, port_idx: int) -> None:
         """Drop every queued cell of a port on a dead fabric, accounted."""

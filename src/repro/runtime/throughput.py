@@ -1,8 +1,7 @@
 """The throughput benchmark suite and its perf-regression gate.
 
 ``repro bench --suite throughput`` measures the hot paths this codebase
-actually spends its time in -- the DES event loop, the batched fabric
-cell clock (against its scalar per-cell reference), the vectorized Monte
+actually spends its time in -- the DES event loop, the vectorized Monte
 Carlo kernels (against their scalar reference implementations), and the
 sparse Markov solvers across state-space sizes -- and writes the
 schema-versioned ``BENCH_throughput.json`` report.
@@ -148,82 +147,6 @@ def _bench_sim_events(scale: float) -> dict:
         wall,
         _digest(np.array([engine.events_processed, engine.now])),
     )
-
-
-def _bench_cell_dispatch(scale: float) -> tuple[dict, dict]:
-    """The fabric cell clock, batched vs its scalar reference oracle.
-
-    Two output ports take turns receiving a stream of 32-cell packets
-    (the 1500 B case) slightly faster than they drain, with two
-    fabric-card failures and one repair mid-run so the burst runs split
-    on ``active_fraction`` changes.  Segmentation cost is hoisted out
-    of the timed region (one prototype cell run, reused) so the entry
-    isolates the dispatch kernel itself.  Identical workload for both
-    modes, so the digests double as an equivalence check: delivery
-    count, summed delivery times, final clock and event totals must all
-    match.
-    """
-    from repro.router.fabric import SwitchFabric
-    from repro.router.packets import CELL_PAYLOAD_BYTES, Cell
-    from repro.sim import Engine
-
-    n_ports = 2
-    cells_per_packet = 32
-    n_packets = max(int(2_000 * scale), 16)
-    rate = 25e6
-    interval = cells_per_packet / rate * 0.98  # queues stay mostly busy
-    n_inject = n_ports * n_packets
-    t_inject_end = n_inject * interval
-    proto_cells = [
-        Cell(
-            pkt_id=0,
-            seq=s,
-            total=cells_per_packet,
-            payload_bytes=CELL_PAYLOAD_BYTES,
-            dst_lc=0,
-        )
-        for s in range(cells_per_packet)
-    ]
-
-    def run_mode(mode: str):
-        engine = Engine()
-        fabric = SwitchFabric(
-            engine, n_ports, port_rate_cells_per_s=rate, cell_dispatch=mode
-        )
-        delivered = [0]
-        time_sum = [0.0]
-
-        def on_cell(_cell) -> None:
-            delivered[0] += 1
-            time_sum[0] += engine.now
-
-        def inject(port: int) -> None:
-            fabric.transfer_run(proto_cells, port, on_cell)
-
-        # Ports inject in disjoint windows (back-to-back runs on one
-        # port at a time), the shape run-batching exists for.
-        for j in range(n_inject):
-            engine.schedule(
-                j * interval,
-                (lambda p=j // n_packets: inject(p)),
-                label="bench:inject",
-            )
-        # Mid-run card churn: burn the spare, degrade to 3/4 capacity,
-        # then repair back to full -- bursts in flight must split.
-        engine.schedule(0.30 * t_inject_end, lambda: fabric.fail_card(0))
-        engine.schedule(0.35 * t_inject_end, lambda: fabric.fail_card(1))
-        engine.schedule(0.60 * t_inject_end, lambda: fabric.repair_card(0))
-        engine.run()
-        return np.array(
-            [delivered[0], time_sum[0], engine.now, engine.events_processed]
-        )
-
-    n_cells = n_inject * cells_per_packet
-    res_b, wall_b = _timed(lambda: run_mode("batched"), repeats=3)
-    batched = _entry("sim.cells.batched", "cells", n_cells, wall_b, _digest(res_b))
-    res_s, wall_s = _timed(lambda: run_mode("scalar"), repeats=3)
-    scalar = _entry("sim.cells.scalar", "cells", n_cells, wall_s, _digest(res_s))
-    return batched, scalar
 
 
 def _bench_mc_lifetime(seed: int, jobs: int, scale: float) -> tuple[dict, dict]:
@@ -381,26 +304,16 @@ def run_throughput_suite(
         raise ValueError(f"scale must be positive, got {scale}")
     calibration, cal_rate = _bench_calibration()
     sim = _bench_sim_events(scale)
-    cells_batched, cells_scalar = _bench_cell_dispatch(scale)
     lt_vec, lt_scalar = _bench_mc_lifetime(seed, jobs, scale)
     is_batched, is_scalar = _bench_mc_is(seed, jobs, scale)
     solvers = _bench_solvers()
 
-    entries = [
-        calibration, sim, cells_batched, cells_scalar,
-        lt_vec, lt_scalar, is_batched, is_scalar,
-    ]
+    entries = [calibration, sim, lt_vec, lt_scalar, is_batched, is_scalar]
     entries.extend(solvers)
 
     metrics = {
         "calibration.ops_per_sec": cal_rate,
         "sim.events_per_sec": sim["per_sec"],
-        "sim.cells_per_sec": cells_batched["per_sec"],
-        "sim.cells.speedup_vs_scalar": (
-            cells_batched["per_sec"] / cells_scalar["per_sec"]
-            if cells_scalar["per_sec"]
-            else 0.0
-        ),
         "mc.lifetime.trials_per_sec": lt_vec["per_sec"],
         "mc.lifetime.speedup_vs_scalar": (
             lt_vec["per_sec"] / lt_scalar["per_sec"] if lt_scalar["per_sec"] else 0.0
@@ -552,7 +465,6 @@ def render_throughput_report(report: dict) -> str:
     lines.append("")
     lines.append(
         "speedups vs scalar reference: "
-        f"sim.cells {m['sim.cells.speedup_vs_scalar']:.1f}x, "
         f"mc.lifetime {m['mc.lifetime.speedup_vs_scalar']:.1f}x, "
         f"mc.is {m['mc.is.speedup_vs_scalar']:.1f}x"
     )

@@ -268,9 +268,11 @@ class TestChaosCommand:
 class TestIncidentsCommand:
     """The incidents subcommand: fold traces into repro-incidents v1."""
 
-    @pytest.fixture
-    def chaos_trace(self, tmp_path):
-        path = tmp_path / "chaos.jsonl"
+    @pytest.fixture(scope="class")
+    def chaos_trace(self, tmp_path_factory):
+        # One traced campaign shared by every test in the class: the
+        # tests only read the trace.
+        path = tmp_path_factory.mktemp("incidents") / "chaos.jsonl"
         assert main([
             "chaos", "--seeds", "2", "--duration", "0.002",
             "--trace", str(path),

@@ -14,7 +14,17 @@ import pytest
 
 from repro.cli import build_parser
 
-DOCS = Path(__file__).resolve().parent.parent / "docs" / "cli.md"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs" / "cli.md"
+
+_NUMBER_WORDS = {
+    word: n
+    for n, word in enumerate(
+        "zero one two three four five six seven eight nine ten eleven twelve "
+        "thirteen fourteen fifteen sixteen seventeen eighteen nineteen "
+        "twenty".split()
+    )
+}
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -102,3 +112,21 @@ def test_runtime_flag_table_matches_parser(cli_doc, commands):
             }
             stale.extend(f"{cmd} {flag}" for flag in flags if flag not in options)
     assert not stale, f"docs/cli.md flag table lists missing flags: {stale}"
+
+
+@pytest.mark.parametrize(
+    "doc, pattern",
+    [
+        ("README.md", r"all (\w+) subcommands"),
+        ("docs/cli.md", r"There are (\w+) subcommands"),
+    ],
+    ids=["README", "cli"],
+)
+def test_subcommand_count_word_matches_parser(doc, pattern, commands):
+    # The prose count of subcommands must follow the parser as it grows.
+    match = re.search(pattern, (ROOT / doc).read_text(encoding="utf-8"))
+    assert match, f"{doc} no longer states the subcommand count"
+    assert _NUMBER_WORDS[match.group(1)] == len(commands), (
+        f"{doc} says {match.group(1)} subcommands; "
+        f"build_parser() registers {len(commands)}"
+    )
