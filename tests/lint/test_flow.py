@@ -448,6 +448,40 @@ class TestDRA505HotpathPurity:
         }
         assert flow_codes(files, select=frozenset({"DRA5"})) == ["DRA505"]
 
+    def test_nested_def_scheduled_by_name_reached(self, flow_codes):
+        # The closure re-schedules itself by name (a per-port clock); the
+        # I/O is one plain call below it.  The enclosing builder's own
+        # set-up call stays off the hot path.
+        files = {
+            "src/repro/mc/model.py": """
+                class Engine:
+                    def schedule(self, t, action, label=None):
+                        pass
+
+                class Port:
+                    def __init__(self, eng):
+                        self.eng = eng
+
+                    def _dump(self):
+                        with open("cells.log", "a") as fh:
+                            fh.write("x")
+
+                    def _setup(self):
+                        with open("setup.log", "w") as fh:
+                            fh.write("y")
+
+                    def clock(self):
+                        self._setup()
+
+                        def finish():
+                            self._dump()
+                            self.eng.schedule(1.0, finish)
+
+                        return finish
+            """,
+        }
+        assert flow_codes(files, select=frozenset({"DRA5"})) == ["DRA505"]
+
     def test_unscheduled_io_is_not_hotpath(self, flow_codes):
         files = {
             "src/repro/mc/driver.py": """

@@ -195,3 +195,58 @@ class TestCancellation:
         assert h.time == 4.0
         assert h.label == "thing"
         assert not h.cancelled
+
+
+class TestScheduleRun:
+    @staticmethod
+    def _stepper(eng, times, fired):
+        """A run step that records each firing and returns the next time."""
+        pending = list(times)
+
+        def step():
+            fired.append(eng.now)
+            return pending.pop(0) if pending else None
+
+        return step
+
+    def test_fires_each_step_then_ends(self):
+        eng = Engine()
+        fired = []
+        eng.schedule_run(1.0, self._stepper(eng, [2.0, 2.0, 5.0], fired), label="r")
+        eng.run()
+        assert fired == [1.0, 2.0, 2.0, 5.0]
+        assert eng.events_processed == 4
+        assert eng.pending == 0
+
+    def test_ties_order_as_if_scheduled_at_each_firing(self):
+        # The run's second sub-event is keyed when the first fires, after
+        # the independent event at t=2 was scheduled, so it fires second.
+        eng = Engine()
+        order = []
+        eng.schedule(0.5, lambda: eng.schedule(2.0, lambda: order.append("other")))
+        step = self._stepper(eng, [2.0], [])
+        eng.schedule_run(1.0, lambda: (order.append("run"), step())[1])
+        eng.run()
+        assert order == ["run", "other", "run"]
+
+    def test_cancel_ends_run_at_next_boundary(self):
+        eng = Engine()
+        fired = []
+        handle = eng.schedule_run(1.0, self._stepper(eng, [2.0, 3.0], fired))
+        eng.schedule(1.5, handle.cancel)
+        eng.run()
+        assert fired == [1.0]
+        assert handle.cancelled
+
+    def test_backward_step_rejected(self):
+        eng = Engine()
+        eng.schedule_run(2.0, lambda: 1.0, label="back")
+        with pytest.raises(SimulationError, match="stepped backwards"):
+            eng.run()
+
+    def test_past_start_rejected(self):
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        eng.run()
+        with pytest.raises(SimulationError, match="before current time"):
+            eng.schedule_run(0.5, lambda: None)
