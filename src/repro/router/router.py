@@ -627,12 +627,11 @@ class Router:
         packet.hop(f"fabric->{dst}[{len(cells)} cells]")
         buffer = self.reassembly[dst]
 
+        def on_abort(reason: str) -> None:
+            self._drop(packet, f"reassembly_{reason}")
+
         def cell_arrived(cell) -> None:
-            buffer.add_cell(
-                cell,
-                on_complete,
-                lambda reason: self._drop(packet, f"reassembly_{reason}"),
-            )
+            buffer.add_cell(cell, on_complete, on_abort)
 
         # The whole segmented packet enters the fabric as one scheduled
         # unit: one operational check and at most one cell-clock start.

@@ -3,26 +3,51 @@
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["Event", "EventHandle"]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, ordered in the heap by ``(time, priority, seq)``.
 
-    Ordering is by ``(time, priority, seq)``: earlier time first, then
-    lower priority number, then insertion order.  ``action`` and
-    ``cancelled`` are excluded from comparisons.
+    Earlier time fires first, then the lower priority number, then the
+    earlier insertion (``seq``).  ``action``, ``label`` and ``cancelled``
+    take no part in the order.  The class is slotted and its ``__lt__``
+    is written out with an early exit, because ``heapq`` calls it about
+    log2(heap size) times per push and pop: most comparisons are decided
+    by ``time`` alone.
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "priority", "seq", "action", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        action: Callable[[], None],
+        label: str = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.action = action
+        self.label = label
+        self.cancelled = cancelled
+
+    def __lt__(self, other: Event) -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        if self.priority != other.priority:
+            return self.priority < other.priority
+        return self.seq < other.seq
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, seq={self.seq!r}, "
+            f"label={self.label!r}, cancelled={self.cancelled!r})"
+        )
 
 
 class EventHandle:

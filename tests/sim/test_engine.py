@@ -1,8 +1,13 @@
 """Simulation-kernel tests."""
 
+import heapq
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Engine, SimulationError
+from repro.sim.events import Event
 
 
 class TestScheduling:
@@ -250,3 +255,23 @@ class TestScheduleRun:
         eng.run()
         with pytest.raises(SimulationError, match="before current time"):
             eng.schedule_run(0.5, lambda: None)
+
+
+class TestEventOrder:
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct values, so equal times and priorities are common
+                st.sampled_from([0.0, 1e-9, 0.5, 0.5 + 2**-53, 1.0, 3.0]),
+                st.integers(min_value=-1, max_value=2),
+            ),
+            max_size=40,
+        )
+    )
+    def test_heap_order_is_time_priority_seq(self, keys):
+        heap = []
+        for seq, (time, priority) in enumerate(keys):
+            heapq.heappush(heap, Event(time, priority, seq, action=lambda: None))
+        popped = [heapq.heappop(heap) for _ in range(len(heap))]
+        want = sorted((time, priority, seq) for seq, (time, priority) in enumerate(keys))
+        assert [(ev.time, ev.priority, ev.seq) for ev in popped] == want
